@@ -13,6 +13,7 @@ from repro.experiments.parallel import RunRequest, run_jobs
 from repro.sim.build import build_hierarchy
 from repro.sim.config import default_system
 from repro.sim.filtered import capture_front_end, run_trace_filtered
+from repro.sim.multi_core import run_mix
 from repro.sim.single_core import run_trace
 from repro.workloads.benchmarks import make_trace
 from repro.workloads.capture_store import MemoryCaptureStore
@@ -143,6 +144,38 @@ def test_direct_cell(benchmark, bench, policy):
     direct = make_direct_cell(bench, policy)
     assert benchmark.pedantic(direct, rounds=3, warmup_rounds=1,
                               iterations=1) == MEASURED
+
+
+MIX = ("soplex", "mcf")
+MIX_LENGTH = 10_000  # accesses per core
+MIX_POLICIES = ("baseline", "slip_abp")
+
+
+def make_mix_cell(policy: str):
+    """A zero-arg closure running one two-core Figure 16 mix cell.
+
+    Every call is one full ``run_mix`` — per-core kernel captures, the
+    private-L2 kernels (or the N-core SLIP kernel) and the merged
+    shared-L3 pass; a decline regression (the round-robin scalar walk
+    serving the cell) shows up as a ~2x slowdown. Returns the number of
+    cores simulated. Also used by ``scripts/throughput_gate.py`` for
+    the mix gates.
+    """
+    for core, bench in enumerate(MIX):
+        make_trace(bench, MIX_LENGTH, seed=core)  # warm the trace cache
+
+    def cell() -> int:
+        result = run_mix(MIX, policy, length_per_core=MIX_LENGTH)
+        return len(result.l2_stats)
+
+    return cell
+
+
+@pytest.mark.parametrize("policy", MIX_POLICIES)
+def test_mix_cell(benchmark, policy):
+    cell = make_mix_cell(policy)
+    assert benchmark.pedantic(cell, rounds=3, warmup_rounds=1,
+                              iterations=1) == len(MIX)
 
 
 def sweep(jobs: int) -> int:

@@ -54,9 +54,10 @@ fi
 
 # Throughput regression gates: re-time the slip_abp drive, the serial
 # (filtered-replay) sweep, the warm slip/slip_abp replay cells, the
-# cold front-end captures and the composed direct runs; fail if any
-# lands >20% above the mean recorded in BENCH_throughput.json.
-stage "throughput gate (slip_abp + sweep + replay + capture + direct)" \
+# cold front-end captures, the composed direct runs and the two-core
+# mix cells; fail if any lands >20% above the mean recorded in
+# BENCH_throughput.json.
+stage "throughput gate (slip_abp + sweep + replay + capture + direct + mix)" \
     python scripts/throughput_gate.py
 
 # Filtered-replay smoke: one capture-through cell plus one replayed
@@ -225,6 +226,39 @@ del os.environ["REPRO_VECTOR_FRONTEND"]
 EOF
 }
 stage "vector-frontend smoke (kernel == scalar capture)" frontend_smoke
+
+# Multicore kernel smoke: one Figure 16 mix under a baseline-kind, the
+# lru_pea (shared-RNG) and a slip-kind policy must serialize
+# byte-identically to the scalar round-robin walk, and the kernel path
+# must actually run (no silent decline to the walk).
+multicore_smoke() {
+    python - <<'EOF'
+import json
+import os
+from dataclasses import asdict
+from repro.sim import kernel_report
+from repro.sim.multi_core import run_mix
+
+def canon(result):
+    return json.dumps(asdict(result), sort_keys=True)
+
+def cell(policy):
+    return canon(run_mix(("soplex", "mcf"), policy, length_per_core=2000,
+                         seed=1))
+
+for policy in ("baseline", "lru_pea", "slip_abp"):
+    os.environ["REPRO_FILTERED"] = "0"
+    scalar = cell(policy)
+    del os.environ["REPRO_FILTERED"]
+    kernel_report.reset_kernel_counts()
+    kernel = cell(policy)
+    report = kernel_report.kernel_report_lines()
+    assert "[kernel-report] vector-mix: 1 kernel run(s), 0 decline(s)" \
+        in report, f"{policy}: mix kernel did not run: {report}"
+    assert kernel == scalar, f"{policy}: mix kernel != scalar walk"
+EOF
+}
+stage "multicore kernel smoke (mix kernel == scalar walk)" multicore_smoke
 
 # Determinism smoke: same figure, same seed, serial vs parallel must
 # emit byte-identical results once timing lines ([...]) are stripped.

@@ -21,7 +21,10 @@ at the repo root:
 * composed direct runs (``run_trace`` -> ``try_run_direct``) of the
   soplex baseline and slip_abp cells — the end-to-end kernel pipeline
   behind every store-less run; a decline regression here converges on
-  the scalar drive's cost (several times slower).
+  the scalar drive's cost (several times slower);
+* two-core mix cells (``run_mix`` -> ``try_run_mix``) under baseline
+  and slip_abp — the multicore kernel path; a decline regression here
+  falls back to the round-robin scalar walk (about twice the cost).
 
 Fails (exit 1) when either measurement exceeds its recorded mean by
 more than the tolerance (default 20%).
@@ -51,6 +54,7 @@ SWEEP_BENCH_NAME = "test_sweep_throughput_serial"
 REPLAY_CELLS = (("soplex", "slip"), ("soplex", "slip_abp"))
 CAPTURE_CELLS = ("soplex", "lbm")
 DIRECT_CELLS = (("soplex", "baseline"), ("soplex", "slip_abp"))
+MIX_CELLS = ("baseline", "slip_abp")
 
 
 def replay_bench_name(bench: str, policy: str) -> str:
@@ -63,6 +67,10 @@ def capture_bench_name(bench: str) -> str:
 
 def direct_bench_name(bench: str, policy: str) -> str:
     return f"test_direct_cell[{bench}-{policy}]"
+
+
+def mix_bench_name(policy: str) -> str:
+    return f"test_mix_cell[{policy}]"
 
 
 def recorded_mean_s(path: str, name: str) -> float:
@@ -156,6 +164,26 @@ def make_measure_direct_s(cell_bench: str, policy: str):
     return measure
 
 
+def make_measure_mix_s(policy: str):
+    def measure(repeats: int) -> float:
+        bench = _import_bench()
+        cell = bench.make_mix_cell(policy)
+        best = float("inf")
+        cell()  # warmup: first call pays code-table builds
+        for _ in range(repeats):
+            started = time.perf_counter()
+            cores = cell()
+            elapsed = time.perf_counter() - started
+            if cores != len(bench.MIX):
+                raise AssertionError(
+                    f"mix cell simulated {cores} cores, "
+                    f"want {len(bench.MIX)}")
+            best = min(best, elapsed)
+        return best
+
+    return measure
+
+
 def make_measure_capture_s(cell_bench: str):
     def measure(repeats: int) -> float:
         bench = _import_bench()
@@ -203,6 +231,9 @@ def main(argv=None) -> int:
         (f"direct-{b}-{p}", direct_bench_name(b, p),
          make_measure_direct_s(b, p))
         for b, p in DIRECT_CELLS
+    ) + tuple(
+        (f"mix-{p}", mix_bench_name(p), make_measure_mix_s(p))
+        for p in MIX_CELLS
     )
     failed = False
     for label, name, measure in gates:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import fields as dataclass_fields
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 _ENV_VAR = "REPRO_CHECK_INVARIANTS"
 _DEFAULT_PERIOD = 256
@@ -838,6 +838,56 @@ def check_slip_vector_replay(*, demand_events: int, metadata_events: int,
             f"{dram_writebacks} DRAM writebacks vs {dram_expect} "
             f"emitted by L3",
             level="DRAM", counter="dram_writebacks")
+
+
+# ----------------------------------------------------------------------
+# Mix-replay conservation (always on, independent of the flag)
+# ----------------------------------------------------------------------
+def check_mix_replay(*, l2_events: Sequence[int],
+                     l2_consumed: Sequence[int],
+                     l3_forwarded: Sequence[int], l3_consumed: int,
+                     dram_reads: Sequence[int],
+                     dram_writes: Sequence[int], l3_misses: int,
+                     l3_victim_wbs: int) -> None:
+    """``mix-replay-conservation``: audit one multicore kernel run.
+
+    Runs inside :func:`repro.sim.vector_mix.try_run_mix` after the
+    per-core private levels and the shared L3 have been replayed. All
+    figures are measured-phase event counts:
+
+    * each core's L2 consumed exactly the events captured for that
+      core (demand misses, metadata fetches, L1 writebacks);
+    * the shared L3 consumed exactly the events the cores' L2s
+      forwarded (misses, unabsorbed writebacks, victim writebacks) —
+      the merge neither drops nor duplicates a lane entry;
+    * the per-core DRAM ledgers together absorb exactly the shared
+      L3's misses (including forwarded writebacks) plus its victim
+      writebacks — every DRAM transfer is charged to exactly one core.
+    """
+    name = "mix-replay-conservation"
+    for core, (events, consumed) in enumerate(zip(l2_events,
+                                                  l2_consumed)):
+        if consumed != events:
+            raise InvariantViolation(
+                name,
+                f"core {core}: L2 consumed {consumed} events but the "
+                f"capture holds {events}",
+                level=f"L2[{core}]", counter="events")
+    if l3_consumed != sum(l3_forwarded):
+        raise InvariantViolation(
+            name,
+            f"shared L3 consumed {l3_consumed} events but the cores "
+            f"forwarded {list(l3_forwarded)}",
+            level="L3", counter="events")
+    charged = sum(dram_reads) + sum(dram_writes)
+    if charged != l3_misses + l3_victim_wbs:
+        raise InvariantViolation(
+            name,
+            f"per-core DRAM ledgers hold {charged} transfers "
+            f"(reads {list(dram_reads)}, writes {list(dram_writes)}) "
+            f"but L3 emitted {l3_misses} misses + {l3_victim_wbs} "
+            f"victim writebacks",
+            level="DRAM", counter="transfers")
 
 
 # ----------------------------------------------------------------------

@@ -481,5 +481,12 @@ class CacheLevel:
             for way in index.values()
         ]
 
+    def record_resident_reuse(self) -> None:
+        """Fold every resident line's hit count into the reuse
+        histogram (the end-of-run half of ``finalize``)."""
+        stats = self.stats
+        for line in self.resident_lines():
+            stats.record_reuse_count(line.hits)
+
     def occupancy(self) -> float:
         return self.valid_count / self.cfg.lines

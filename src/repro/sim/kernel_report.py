@@ -2,15 +2,16 @@
 
 All three batched kernels (:mod:`~repro.sim.vector_replay`,
 :mod:`~repro.sim.vector_replay_slip`,
-:mod:`~repro.sim.vector_frontend`) record their outcome through this
-module, so three things can never drift apart:
+:mod:`~repro.sim.vector_frontend`) and the multicore kernel path that
+composes them (:mod:`~repro.sim.vector_mix`) record their outcome
+through this module, so three things can never drift apart:
 
 * the structured per-hierarchy record
   (:class:`~repro.mem.hierarchy.KernelDeclines` on
   ``hierarchy.kernel_declines``) tests and benches assert on;
 * the one stderr decline format — ``vector-<kernel>: decline
   (<reason>)`` — gated by the kernel's ``REPRO_VECTOR_*_DEBUG``
-  variable (``replay`` and the SLIP replay share
+  variable (``replay``, the SLIP replay and the ``mix`` path share
   ``REPRO_VECTOR_REPLAY_DEBUG``; the capture kernel uses
   ``REPRO_VECTOR_FRONTEND_DEBUG``);
 * the process-wide tallies behind ``slip-experiments
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 #: hierarchy.kernel_declines field name -> debug env var.
 KERNEL_DEBUG_ENVS: Dict[str, str] = {
     "replay": "REPRO_VECTOR_REPLAY_DEBUG",
     "frontend": "REPRO_VECTOR_FRONTEND_DEBUG",
+    "mix": "REPRO_VECTOR_REPLAY_DEBUG",
 }
 
 _RUNS: Counter = Counter()
@@ -45,7 +47,8 @@ def _debug_enabled(kernel: str) -> bool:
     return debug_flag(KERNEL_DEBUG_ENVS[kernel])
 
 
-def record_decline(hierarchy, kernel: str, reason: str) -> None:
+def record_decline(hierarchy, kernel: str, reason: str,
+                   peers: Sequence = ()) -> None:
     """One kernel bypassed a hierarchy: record where, why, and count.
 
     The reason lands on the matching ``hierarchy.kernel_declines``
@@ -53,16 +56,20 @@ def record_decline(hierarchy, kernel: str, reason: str) -> None:
     the scalar walk instead of inferring it from timings; with the
     kernel's debug env var set, the reason is also echoed to stderr
     (stdout stays reserved for deterministic experiment output).
+    ``peers`` are further hierarchies of the same cell (a mix's other
+    cores): they carry the same record but the cell counts once.
     """
-    setattr(hierarchy.kernel_declines, kernel, reason)
+    for one in (hierarchy, *peers):
+        setattr(one.kernel_declines, kernel, reason)
     _DECLINES[kernel][reason] += 1
     if _debug_enabled(kernel):
         print(f"vector-{kernel}: decline ({reason})", file=sys.stderr)
 
 
-def record_success(hierarchy, kernel: str) -> None:
+def record_success(hierarchy, kernel: str, peers: Sequence = ()) -> None:
     """One kernel accepted a hierarchy: clear the record and count."""
-    setattr(hierarchy.kernel_declines, kernel, None)
+    for one in (hierarchy, *peers):
+        setattr(one.kernel_declines, kernel, None)
     _RUNS[kernel] += 1
 
 

@@ -35,8 +35,9 @@ suite in ``tests/test_vector_replay.py``:
   existence is a pure occupancy count), and moved lines keep their LRU
   stamp — so per-line sublevel plus a sorted stamp list per (set,
   sublevel) reproduces the scalar run exactly, rotor-free.
-* **lru_pea** — like nurapid with demoted-first victim selection (two
-  stamp lists per (set, sublevel)), except the insertion sublevel is
+* **lru_pea** — like nurapid with demoted-first victim selection (one
+  sorted key list per set, ordered by sublevel, then demoted before
+  plain, then stamp), except the insertion sublevel is
   one ``random.Random`` draw per fill in *global fill order*, so the
   L2 pass runs in global event order and consumes the placement's own
   RNG object, keeping the draw stream byte-identical.
@@ -225,30 +226,33 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
     # Recency is kept as an explicit order list (front == LRU): the
     # global LRU clock stamps every touch with a unique value, so the
     # within-set order *is* the stamp order and min-LRU is the front.
-    sets_out = []
+    # Fill records live in flat lists indexed by a global fill number;
+    # a set's fills are contiguous, so pass B walks one range per set.
+    f_evt: List[int] = []
+    f_vic: List[int] = []
+    f_tag: List[int] = []
+    f_dirty: List[bool] = []
+    f_hits: List[int] = []
+    f_md: List[int] = []
+    f_mm: List[int] = []
+    f_wbin: List[int] = []
+    f_wbout: List[int] = []
+    # Per-fill appends and the probe dominate this loop; method
+    # bindings amortize the attribute lookups.
+    ap_evt, ap_vic, ap_tag = f_evt.append, f_vic.append, f_tag.append
+    ap_dirty, ap_hits = f_dirty.append, f_hits.append
+    ap_md, ap_mm = f_md.append, f_mm.append
+    ap_wbin, ap_wbout = f_wbin.append, f_wbout.append
+    set_starts: List[int] = []
     demand_misses = metadata_misses = 0
     for s in range(num_sets):
         a, b = offs[s], offs[s + 1]
         if a == b:
             continue
+        set_starts.append(len(f_evt))
         where: dict = {}
         order_: List[int] = []
-        f_evt: List[int] = []
-        f_vic: List[int] = []
-        f_tag: List[int] = []
-        f_dirty: List[bool] = []
-        f_hits: List[int] = []
-        f_md: List[int] = []
-        f_mm: List[int] = []
-        f_wbin: List[int] = []
-        f_wbout: List[int] = []
-        # Per-fill appends and the probe dominate this loop; method
-        # bindings amortize the attribute lookups over the set's events.
         where_get = where.get
-        ap_evt, ap_vic, ap_tag = f_evt.append, f_vic.append, f_tag.append
-        ap_dirty, ap_hits = f_dirty.append, f_hits.append
-        ap_md, ap_mm = f_md.append, f_mm.append
-        ap_wbin, ap_wbout = f_wbin.append, f_wbout.append
         for k in range(a, b):
             op = ops_l[k]
             tag = addr_l[k]
@@ -306,7 +310,7 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
         for j in where.values():  # finalize(): resident-line reuse
             h = f_hits[j]
             hist[h if h < 3 else 3] += 1
-        sets_out.append((f_evt, f_vic, f_md, f_mm, f_wbin, f_wbout))
+    set_starts.append(len(f_evt))
     tally.demand_misses = demand_misses
     tally.metadata_misses = metadata_misses
 
@@ -323,10 +327,10 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
     dh_sub, mh_sub = tally.dh_sub, tally.mh_sub
     ins_sub = tally.ins_sub
     wbin_sub, wbout_sub = tally.wbin_sub, tally.wbout_sub
-    for f_evt, f_vic, f_md, f_mm, f_wbin, f_wbout in sets_out:
+    f_way = [0] * len(f_evt)
+    for start, stop in zip(set_starts, set_starts[1:]):
         occupied = [False] * ways
-        f_way: List[int] = []
-        for j in range(len(f_evt)):
+        for j in range(start, stop):
             v = f_vic[j]
             if v >= 0:
                 w = f_way[v]  # eviction installs into the victim's way
@@ -336,7 +340,7 @@ def _run_baseline(level, placement, ops, addrs, meas, plan_data=None):
                     if not occupied[w]:
                         break
                 occupied[w] = True
-            f_way.append(w)
+            f_way[j] = w
             sub = sub_by_way[w]
             if meas_by_evt[f_evt[j]]:
                 ins_sub[sub] += 1
@@ -502,6 +506,12 @@ def _run_nurapid(level, placement, ops, addrs, meas, plan_data=None):
 # ----------------------------------------------------------------------
 # LRU-PEA kernel (global-order pass: one RNG draw per fill)
 # ----------------------------------------------------------------------
+#: Bit position of the sublevel in an LRU-PEA line key; the bit below
+#: it is the plain (not demoted) flag, the rest the per-set LRU stamp
+#: (a per-set clock, so it stays far below 2**39).
+_PEA_SUB_SHIFT = 40
+
+
 def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None):
     from bisect import bisect_left
 
@@ -538,28 +548,30 @@ def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None):
     hi = len(cum) - 1
 
     demand_misses = metadata_misses = 0
-    # Per-set state, lazily created: recs (tag -> [sublevel, dirty,
-    # hits, stamp, demoted]) plus per-sublevel sorted stamp/tag lists
-    # split by the demoted flag (PEA victimizes demoted lines first).
-    states: List[Optional[tuple]] = [None] * num_sets
+    # Line records (tag -> [sublevel, dirty, hits, stamp, demoted]) sit
+    # in one dict (tags are unique across sets). Per set: one sorted
+    # key list with an aligned tag list (created on the set's first
+    # fill), the LRU clock, and per-sublevel occupancy in a flat
+    # ``set * nsub + sublevel`` column. A line's key orders it by
+    # (sublevel, plain-after-demoted, stamp), so the first key of a
+    # sublevel's region is its PEA victim: the least recent demoted
+    # line, else the least recent plain one. Flat columns and one list
+    # pair per touched set keep short runs over a large level light.
+    recs: dict = {}
+    recs_get = recs.get
+    keys_of: List[Optional[List[int]]] = [None] * num_sets
+    tags_of: List[Optional[List[int]]] = [None] * num_sets
+    clock_of = [0] * num_sets
+    occ_of = [0] * (num_sets * nsub)
+    sub_shift = _PEA_SUB_SHIFT
+    plain_bit = 1 << (sub_shift - 1)
+    stamp_mask = plain_bit - 1
 
     for k in range(n):
         op = ops_l[k]
         tag = addr_l[k]
         m = meas_l[k]
-        state = states[set_l[k]]
-        if state is None:
-            state = states[set_l[k]] = (
-                {},                             # recs
-                [[] for _ in range(nsub)],      # plain stamps
-                [[] for _ in range(nsub)],      # plain tags
-                [[] for _ in range(nsub)],      # demoted stamps
-                [[] for _ in range(nsub)],      # demoted tags
-                [0] * nsub,                     # occupancy
-                [0],                            # clock box
-            )
-        recs, stp, tgp, std, tgd, occ, clock = state
-        rec = recs.get(tag)
+        rec = recs_get(tag)
         if op == OP_WRITEBACK:
             if rec is None:
                 miss[k] = True
@@ -568,6 +580,13 @@ def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None):
                 if m:
                     wbin_sub[rec[0]] += 1
             continue
+        s = set_l[k]
+        keys = keys_of[s]
+        if keys is None:
+            keys = keys_of[s] = []
+            tags_of[s] = []
+        tags = tags_of[s]
+        base = s * nsub
         if rec is not None:  # hit at the pre-promotion way
             sub = rec[0]
             rec[2] += 1
@@ -576,39 +595,39 @@ def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None):
                     mh_sub[sub] += 1
                 else:
                     dh_sub[sub] += 1
-            lst = std[sub] if rec[4] else stp[sub]
-            tgl = tgd[sub] if rec[4] else tgp[sub]
-            i = bisect_left(lst, rec[3])
-            lst.pop(i)
-            tgl.pop(i)
-            clock[0] += 1
-            rec[3] = clock[0]
+            flag = 0 if rec[4] else plain_bit
+            i = bisect_left(keys, (sub << sub_shift) | flag | rec[3])
+            keys.pop(i)
+            tags.pop(i)
+            clock_of[s] += 1
+            rec[3] = clock_of[s]
             if sub == 0:
-                lst.append(rec[3])
-                tgl.append(tag)
+                # Stays put (demoted flag included), newest stamp.
+                key = flag | rec[3]
+                i = bisect_left(keys, key)
+                keys.insert(i, key)
+                tags.insert(i, tag)
                 continue
             # on_hit: promote one sublevel nearer (demoted-first LRU
             # victim there moves to the vacated way, flagged demoted).
             t = sub - 1
-            if occ[t] < ways_count[t]:
-                occ[t] += 1
-                occ[sub] -= 1
+            if occ_of[base + t] < ways_count[t]:
+                occ_of[base + t] += 1
+                occ_of[base + sub] -= 1
                 if m:
                     mvr[sub] += 1
                     mvw[t] += 1
             else:
-                if std[t]:
-                    dst = std[t].pop(0)
-                    dtag = tgd[t].pop(0)
-                else:
-                    dst = stp[t].pop(0)
-                    dtag = tgp[t].pop(0)
+                i = bisect_left(keys, t << sub_shift)
+                dst = keys.pop(i) & stamp_mask
+                dtag = tags.pop(i)
                 drec = recs[dtag]
                 drec[0] = sub
                 drec[4] = True
-                i = bisect_left(std[sub], dst)
-                std[sub].insert(i, dst)
-                tgd[sub].insert(i, dtag)
+                key = (sub << sub_shift) | dst
+                i = bisect_left(keys, key)
+                keys.insert(i, key)
+                tags.insert(i, dtag)
                 if m:
                     mvr[sub] += 1
                     mvw[t] += 1
@@ -616,8 +635,10 @@ def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None):
                     mvw[sub] += 1
             rec[0] = t
             rec[4] = False
-            stp[t].append(rec[3])
-            tgp[t].append(tag)
+            key = (t << sub_shift) | plain_bit | rec[3]
+            i = bisect_left(keys, key)
+            keys.insert(i, key)
+            tags.insert(i, tag)
             continue
         # miss + fill into a weighted-random sublevel
         miss[k] = True
@@ -632,15 +653,12 @@ def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None):
             if u < cum[i]:
                 t = i
                 break
-        if occ[t] < ways_count[t]:
-            occ[t] += 1
+        if occ_of[base + t] < ways_count[t]:
+            occ_of[base + t] += 1
         else:
-            if std[t]:
-                vtag = tgd[t].pop(0)
-                std[t].pop(0)
-            else:
-                vtag = tgp[t].pop(0)
-                stp[t].pop(0)
+            i = bisect_left(keys, t << sub_shift)
+            keys.pop(i)
+            vtag = tags.pop(i)
             vrec = recs.pop(vtag)
             if m:
                 h = vrec[2]
@@ -649,18 +667,18 @@ def _run_lru_pea(level, placement, ops, addrs, meas, plan_data=None):
                 victim_tag[k] = vtag
                 if m:
                     wbout_sub[t] += 1
-        clock[0] += 1
-        recs[tag] = [t, False, 0, clock[0], False]
-        stp[t].append(clock[0])
-        tgp[t].append(tag)
+        clock_of[s] += 1
+        stamp = clock_of[s]
+        recs[tag] = [t, False, 0, stamp, False]
+        key = (t << sub_shift) | plain_bit | stamp
+        i = bisect_left(keys, key)
+        keys.insert(i, key)
+        tags.insert(i, tag)
         if m:
             ins_sub[t] += 1
-    for state in states:
-        if state is None:
-            continue
-        for rec in state[0].values():
-            h = rec[2]
-            hist[h if h < 3 else 3] += 1
+    for rec in recs.values():
+        h = rec[2]
+        hist[h if h < 3 else 3] += 1
     tally.demand_misses = demand_misses
     tally.metadata_misses = metadata_misses
     return tally, np.asarray(miss, dtype=bool), \
@@ -713,7 +731,8 @@ def _derive_l3_stream(ops, addrs, meas, l2_miss, l2_victim, plan=None):
 # ----------------------------------------------------------------------
 # Publication into the (otherwise untouched) hierarchy
 # ----------------------------------------------------------------------
-def _publish_level(level, tally: _LevelTally, mq_pj: float) -> None:
+def publish_level(level, tally: _LevelTally, mq_pj: float) -> None:
+    """Publish one level's measured-phase tally via ``adopt_counts``."""
     movements = sum(tally.mvr_sub)
     level.stats.adopt_counts(
         demand_hits=sum(tally.dh_sub),
@@ -810,8 +829,8 @@ def replay_capture_vector(hierarchy, capture: TraceCapture,
 
     mq2 = getattr(hierarchy.l2_placement, "movement_queue_pj", 0.0)
     mq3 = getattr(hierarchy.l3_placement, "movement_queue_pj", 0.0)
-    _publish_level(l2, tally2, mq2)
-    _publish_level(l3, tally3, mq3)
+    publish_level(l2, tally2, mq2)
+    publish_level(l3, tally3, mq3)
     counters = hierarchy.counters
     counters.total_latency_cycles += total
     counters.dram_demand_reads = dram_demand

@@ -3,10 +3,10 @@
 The paper evaluates eight randomly selected pairs on a system with
 private 256 KB L2s and a shared 2 MB L3; we use the pairs readable off
 Figure 16's axis. Each core's trace is shifted into a disjoint address
-region (no data sharing, as in multiprogrammed SPEC), and the two traces
-are interleaved round-robin, which is how the shared L3 sees roughly
-doubled reuse distances — the effect behind the larger multicore
-savings.
+region (no data sharing, as in multiprogrammed SPEC), and the simulator
+interleaves the traces round-robin (see :mod:`repro.sim.multi_core`),
+which is how the shared L3 sees roughly doubled reuse distances — the
+effect behind the larger multicore savings.
 """
 
 from __future__ import annotations
@@ -45,25 +45,6 @@ def make_mix_traces(pair: Tuple[str, str], length_per_core: int,
         trace = make_trace(name, length_per_core, seed=seed + core)
         traces.append(trace.with_offset(core * CORE_ADDRESS_STRIDE))
     return traces
-
-
-def interleave_round_robin(traces: List[Trace]) -> List[Tuple[int, int, bool]]:
-    """Deterministic round-robin interleaving of per-core traces.
-
-    Yields (core, line_addr, is_write) tuples until all traces are
-    exhausted; statistics collection over the overlap window is the
-    caller's concern (the paper collects only while executions overlap).
-    """
-    arrays = [
-        (t.addresses.tolist(), t.is_write.tolist()) for t in traces
-    ]
-    out: List[Tuple[int, int, bool]] = []
-    longest = max(len(a) for a, _ in arrays)
-    for idx in range(longest):
-        for core, (addrs, writes) in enumerate(arrays):
-            if idx < len(addrs):
-                out.append((core, addrs[idx], writes[idx]))
-    return out
 
 
 def overlap_length(traces: List[Trace]) -> int:

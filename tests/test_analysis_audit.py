@@ -57,6 +57,7 @@ def test_registry_covers_the_documented_pairs():
         "baseline-fill", "slip-fill", "l1-access", "below-l1",
         "wb-l2", "wb-l3", "eou-optimize", "vector-replay",
         "slip-vector-replay", "vector-frontend", "replay-plan",
+        "mix-kernel",
     }
 
 
@@ -76,6 +77,8 @@ MUTATIONS = [
     ("mem/hierarchy.py", "stats.writebacks_in += 1"),       # fused wb
     ("core/eou.py", "stats.optimizations += 1"),            # EOU ledger
     ("sim/vector_replay.py", "counters.total_latency_cycles +="),
+    ("sim/vector_replay_slip.py",
+     "runtime_stats.tlb_miss_fetches = tlb_misses"),      # N-core kernel
 ]
 
 
