@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # One-shot pre-merge gate for this repo. Runs the tier-1 test suite,
 # the slip-lint and slip-audit static checks (plus ruff when it is
-# installed), and a determinism smoke (fixed-seed byte-identity of the
-# CLI across serial and parallel runs).
+# installed), throughput gates, kernel-vs-scalar smokes, a perfbench
+# smoke and a determinism smoke (fixed-seed byte-identity of the CLI
+# across serial and parallel runs).
 #
 # Usage: scripts/check.sh [--fast]
-#   --fast   skip the full pytest run; lint + determinism smoke only.
+#   --fast   skip the full pytest run; every other stage still runs.
 #
 # Exit code: 0 only if every stage passes. Run from anywhere; the
 # script cd's to the repo root.
@@ -259,6 +260,29 @@ for policy in ("baseline", "lru_pea", "slip_abp"):
 EOF
 }
 stage "multicore kernel smoke (mix kernel == scalar walk)" multicore_smoke
+
+# Perfbench smoke: a short traced run of every workload BENCHMARK.json
+# lists must finish with every cell's output check passing. perfbench
+# wraps simulator functions by name (get_plan, put_plan, build_plan,
+# replay_capture_vector_slip, ...), so a rename or removal there fails
+# here rather than in the benchmark. This stage runs perfbench; it does
+# not edit it.
+perfbench_smoke() {
+    local workloads workload out
+    workloads="$(python -c 'import json
+print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'
+    )" || return 1
+    for workload in $workloads; do
+        out="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+            --seconds 5 --trace 1)" || return 1
+        printf '%s\n' "$out" | tail -n 1 | python -c '
+import json, sys
+result = json.load(sys.stdin)
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)
+' || { echo "    perfbench smoke: $workload failed" >&2; return 1; }
+    done
+}
+stage "perfbench smoke (traced 5 s run per listed workload)" perfbench_smoke
 
 # Determinism smoke: same figure, same seed, serial vs parallel must
 # emit byte-identical results once timing lines ([...]) are stripped.

@@ -971,11 +971,10 @@ def check_replay_plan(plan, capture, trace) -> None:
     A :class:`~repro.sim.replay_plan.ReplayPlan` is pure derived data —
     nothing in it may carry information beyond the (capture, geometry)
     pair it claims to precompute. Before the first kernel consumes a
-    plan object (fresh build, memoized share or memmap sidecar load),
-    this re-runs the derivation from the capture and compares every
-    persisted array byte-for-byte, so a corrupted, truncated or stale
+    freshly built plan object, this re-runs the derivation from the
+    capture and compares every array byte-for-byte, so a wrong or stale
     plan can never alter a result. Passing marks ``plan.verified``;
-    shared plan objects pay the check once per process.
+    shared (memoized) plan objects pay the check once per process.
     """
     import numpy as np
 

@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..sim.config import SystemConfig
+from ..sim.config import SystemConfig, check_warmup_fraction
 from ..sim.filtered import run_trace_filtered
 from ..sim.multi_core import MulticoreResult, run_mix
 from ..sim.results import RunResult
@@ -80,6 +80,9 @@ class RunRequest:
     #: ``None`` means the Table 1 default system (built in the worker).
     config: Optional[SystemConfig] = None
 
+    def __post_init__(self) -> None:
+        check_warmup_fraction(self.warmup_fraction)
+
     def label(self) -> str:
         return f"{self.benchmark}/{self.policy}"
 
@@ -98,6 +101,9 @@ class MixRequest:
     seed: int = 0
     warmup_fraction: float = 0.3
     config: Optional[SystemConfig] = None
+
+    def __post_init__(self) -> None:
+        check_warmup_fraction(self.warmup_fraction)
 
     def label(self) -> str:
         return f"{'+'.join(self.mix)}/{self.policy}"

@@ -9,6 +9,7 @@ correct read/write energy for the sublevel of the way it touches.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import List, Optional, Sequence, Tuple
 
 from ..sim.config import CacheLevelConfig
@@ -77,6 +78,11 @@ class Line:
 #: to victim scans, probes and invariant sweeps.
 INVALID_LINE = Line()
 
+#: The probe index every untouched set aliases until its first fill:
+#: read-only, so a write that skipped the copy-on-first-fill fails
+#: loudly instead of leaking into every other untouched set.
+UNTOUCHED_INDEX = MappingProxyType({})
+
 
 class EvictedLine:
     """Snapshot of a line leaving a way, handed to the placement policy."""
@@ -131,20 +137,26 @@ class CacheLevel:
         # Rotating start offset for invalid-way allocation scans.
         self._alloc_rotor = 0
         self.num_sets = cfg.sets
-        # Lazy line materialization: every way starts aliased to the
-        # shared INVALID_LINE sentinel (a hierarchy allocates tens of
-        # thousands of lines, most of which a short run never fills —
-        # L3 especially). The install sites (place_fill/place_moved and
-        # the fused fills) swap in a real Line on first use; nothing
-        # else ever mutates an invalid line, so the sentinel stays
-        # pristine. Each row is still a distinct list (slots are
-        # replaced in place).
-        self.sets: List[List[Line]] = [
-            [INVALID_LINE] * cfg.ways for _ in range(cfg.sets)
-        ]
+        # Lazy materialization, per line and per set. Every way starts
+        # aliased to the shared INVALID_LINE sentinel (a hierarchy
+        # allocates tens of thousands of lines, most of which a short
+        # run never fills — L3 especially), and every set starts
+        # aliased to one read-only row of sentinels plus the read-only
+        # UNTOUCHED_INDEX: the replay kernels model the array in flat
+        # columns of their own and never fill it, so a kernel cell
+        # allocates no per-set containers (4096 rows and dicts for the
+        # 4 MB L3). The install sites (place_fill/place_moved and the
+        # fused fills) give a set its own row and index on its first
+        # fill (:meth:`_own_set`) and swap in a real Line on a way's
+        # first use; nothing else ever mutates an invalid line or an
+        # untouched set, so the sentinels stay pristine. Both outer
+        # lists are fixed for the level's lifetime (slots are replaced
+        # in place), so callers may bind them once.
+        self._untouched_row: Tuple[Line, ...] = (INVALID_LINE,) * cfg.ways
+        self.sets: List[Sequence[Line]] = [self._untouched_row] * cfg.sets
         # tag -> way index per set, kept in sync by every placement
         # primitive; makes probe O(1) instead of an associative scan.
-        self._index: List[dict] = [{} for _ in range(cfg.sets)]
+        self._index: List[dict] = [UNTOUCHED_INDEX] * cfg.sets
         #: Valid lines in the array; maintained by place/extract so
         #: occupancy() never rescans the whole array.
         self.valid_count = 0
@@ -163,6 +175,16 @@ class CacheLevel:
         self._granule = max(1, self.timestamp_wrap >> timestamp_bits)
         # 2**timestamp_bits is a power of two, so "% span" == "& mask".
         self._ts_mask = (1 << timestamp_bits) - 1
+
+    def _own_set(self, set_idx: int) -> Tuple[List[Line], dict]:
+        """Give an untouched set its own row and probe index.
+
+        Called by the install sites on a set's first fill (only while
+        ``sets[set_idx] is _untouched_row``); returns the new pair.
+        """
+        lines = self.sets[set_idx] = [INVALID_LINE] * self.cfg.ways
+        index = self._index[set_idx] = {}
+        return lines, index
 
     def _new_stats(self) -> LevelStats:
         stats = LevelStats(self.cfg.name,
@@ -356,11 +378,14 @@ class CacheLevel:
                    sampling: bool = False, is_metadata: bool = False,
                    timestamp: int = 0) -> None:
         """Install a brand-new line (fetched from the next level)."""
-        line = self.sets[set_idx][way]
+        lines = self.sets[set_idx]
+        line = lines[way]
         if line.valid:
             raise RuntimeError("place_fill into a valid way; extract first")
         if line is INVALID_LINE:
-            line = self.sets[set_idx][way] = Line()
+            if lines is self._untouched_row:
+                lines, _ = self._own_set(set_idx)
+            line = lines[way] = Line()
         line.valid = True
         line.tag = line_addr
         self._index[set_idx][line_addr] = way
@@ -392,11 +417,14 @@ class CacheLevel:
                     movement_queue_pj: float = 0.0,
                     demoted: bool = True) -> None:
         """Install a line moved from another way of the same set."""
-        line = self.sets[set_idx][way]
+        lines = self.sets[set_idx]
+        line = lines[way]
         if line.valid:
             raise RuntimeError("place_moved into a valid way; extract first")
         if line is INVALID_LINE:
-            line = self.sets[set_idx][way] = Line()
+            if lines is self._untouched_row:
+                lines, _ = self._own_set(set_idx)
+            line = lines[way] = Line()
         line.valid = True
         line.tag = moved.tag
         self._index[set_idx][moved.tag] = way
@@ -470,9 +498,9 @@ class CacheLevel:
     def resident_lines(self) -> List[Line]:
         """Valid lines, via the per-set probe indices.
 
-        O(resident) instead of O(capacity): cold sets contribute
-        nothing, and finalize() on a short run no longer scans every
-        way of every set.
+        O(resident) instead of O(capacity): cold and untouched sets
+        contribute nothing, and finalize() on a short run no longer
+        scans every way of every set.
         """
         sets = self.sets
         return [

@@ -98,6 +98,10 @@ class BaselinePlacement(PlacementPolicy):
             level.valid_count += 1
             outcome = _INSERTED
             if victim is INVALID_LINE:
+                if lines is level._untouched_row:
+                    # First fill of this set: give it its own row and
+                    # probe index (see CacheLevel._own_set).
+                    lines, index = level._own_set(set_idx)
                 # First fill of this way: materialize a real Line in
                 # place of the shared invalid sentinel.
                 victim = lines[victim_way] = Line()

@@ -35,6 +35,23 @@ def line_to_page_shift(lines_per_page: int = LINES_PER_PAGE) -> int:
     return shift
 
 
+def check_warmup_fraction(warmup_fraction: float) -> None:
+    """Reject a warmup fraction outside ``[0, 1]`` with ``ValueError``.
+
+    Every run entry point calls this first, so a bad value fails the
+    same way whichever path (kernel or scalar walk) would have run it;
+    past the boundary the paths would otherwise disagree (one returns a
+    result, another trips an invariant or indexes out of range).
+    """
+    try:
+        ok = 0.0 <= warmup_fraction <= 1.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"warmup_fraction must be in [0, 1], got {warmup_fraction!r}")
+
+
 @dataclass(frozen=True)
 class CacheLevelConfig:
     """Geometry, latency and energy of one cache level.

@@ -77,11 +77,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.invariants import (
-    InvariantViolation,
-    check_capture_replay,
-    invariants_enabled,
-)
+from ..analysis.invariants import check_capture_replay, invariants_enabled
 from ..core.energy_model import LevelEnergyParams
 from ..core.runtime import RuntimeStats
 from ..mem.stats import EnergyBreakdown, LevelStats
@@ -99,7 +95,7 @@ from ..workloads.capture_store import (
 )
 from ..workloads.trace import Trace
 from .build import build_hierarchy, maybe_boost_sampler, runtime_kind
-from .config import SystemConfig, default_system
+from .config import SystemConfig, check_warmup_fraction, default_system
 from .replay_plan import (
     build_plan,
     ensure_plan_verified,
@@ -639,21 +635,12 @@ def _resolve_plan(store, key: str, geometry: Dict,
                   capture: TraceCapture, trace: Trace):
     """The verified plan for one (capture, geometry), building on miss.
 
-    Loaded plans (memory hit or disk sidecar) are structurally
-    validated and pushed through the ``replay-plan-conservation``
-    invariant before first use; any failure invalidates the cached
-    plan and falls through to a fresh build, so a damaged or stale
-    sidecar can only ever cost a rebuild, never change a result.
+    The store only memoizes plans in process, so a hit is a plan this
+    process built and verified itself; a miss builds one, runs it
+    through the ``replay-plan-conservation`` invariant and memoizes it.
     """
     geom_key = plan_geometry_key(geometry)
     plan = store.get_plan(key, geom_key)
-    if plan is not None and not plan.verified:
-        try:
-            plan.validate(capture)
-            ensure_plan_verified(plan, capture, trace)
-        except (CaptureError, InvariantViolation):
-            store.invalidate_plan(key, geom_key)
-            plan = None
     if plan is None:
         plan = ensure_plan_verified(
             build_plan(capture, trace, geometry), capture, trace)
@@ -679,10 +666,12 @@ def run_trace_filtered(
     """Drop-in ``run_trace`` using capture/replay where it is legal.
 
     Byte-identical to :func:`~repro.sim.single_core.run_trace` by
-    construction; falls back to it whenever a capture cannot represent
-    the run (SimCheck, rd-block SLIP, per-level energy overrides,
-    ``REPRO_FILTERED=0``, or a capture/store failure).
+    construction (including its ``ValueError`` for a warmup fraction
+    outside ``[0, 1]``); falls back to it whenever a capture cannot
+    represent the run (SimCheck, rd-block SLIP, per-level energy
+    overrides, ``REPRO_FILTERED=0``, or a capture/store failure).
     """
+    check_warmup_fraction(warmup_fraction)
     config = config or default_system()
     kind = runtime_kind(policy)
     if (

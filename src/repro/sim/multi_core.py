@@ -25,7 +25,7 @@ from ..policies.lru_pea import LruPeaPlacement, PeaLruReplacement
 from ..policies.nurapid import NurapidPlacement
 from ..workloads.mixes import CORE_ADDRESS_STRIDE, make_mix_traces
 from ..workloads.trace import Trace
-from .config import SystemConfig, default_system
+from .config import SystemConfig, check_warmup_fraction, default_system
 from .vector_mix import try_run_mix
 
 #: Page-number shift that recovers the core id from a page.
@@ -134,6 +134,7 @@ def run_mix(
     warmup_fraction: float = 0.3,
 ) -> MulticoreResult:
     """Simulate one two-core mix under one policy."""
+    check_warmup_fraction(warmup_fraction)
     config = config or default_system()
     traces = make_mix_traces(mix, length_per_core, seed)
     return run_mix_traces(traces, mix, policy, config, seed,
@@ -152,8 +153,10 @@ def run_mix_traces(
 
     The kernel path (:func:`~repro.sim.vector_mix.try_run_mix`) serves
     the cell when it can; otherwise the round-robin scalar walk, the
-    golden reference, does. Both leave the same statistics behind.
+    golden reference, does. Both leave the same statistics behind. A
+    warmup fraction outside ``[0, 1]`` raises ``ValueError``.
     """
+    check_warmup_fraction(warmup_fraction)
     slip = policy in ("slip", "slip_abp")
     runtimes, shared_l3, hierarchies = _build_mix(config, policy,
                                                   len(traces), seed)

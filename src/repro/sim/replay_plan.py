@@ -20,40 +20,33 @@ back-end geometry — so a :class:`ReplayPlan` computes it once per
   the per-trace L1 grouping (the plan's L1 part is a pure function of
   the trace, so repeated direct runs of the same trace reuse it).
 
-Plans are cached next to their captures: in
-:class:`~repro.workloads.capture_store.MemoryCaptureStore` as live
-objects and in :class:`~repro.workloads.capture_store.DiskCaptureStore`
-as memmap sidecar arrays under ``<entry>/plan-<geometry digest>/``
-(same atomic tmp+rename, quarantine and eviction discipline as the
-capture entries), so every pool worker of
-:func:`~repro.experiments.parallel.run_policy_grid` shares one plan
-per capture instead of recomputing it per cell per process.
+Plans are memoized in process, next to their captures (see
+``get_plan``/``put_plan`` on both capture stores), so every cell of a
+sweep in one process — including each worker of
+:func:`~repro.experiments.parallel.run_policy_grid` — shares one plan
+per ``(capture, geometry)``. Plans are never persisted: building and
+verifying one costs less than writing it to disk.
 
 Correctness story: a plan is pure derived data, so the always-on
 ``replay-plan-conservation`` invariant
 (:func:`repro.analysis.invariants.check_replay_plan`) re-derives every
-persisted array from the capture and compares byte-for-byte before the
-first replay consumes a plan object — a corrupted or stale sidecar can
-therefore never change a result, only cost a rebuild. The list-shaped
-views the kernels consume (grouped columns, sentinel-terminated
-position lists) are memoized lazily on the plan object and derived
-from the checked arrays. ``REPRO_REPLAY_PLAN=0`` disables plan use
-entirely (every kernel then recomputes exactly what it did before).
+array from the capture and compares byte-for-byte before the first
+replay consumes a plan object. The list-shaped views the kernels
+consume (grouped columns, sentinel-terminated position lists) are
+memoized lazily on the plan object and derived from the checked
+arrays. ``REPRO_REPLAY_PLAN=0`` disables plan use entirely (every
+kernel then recomputes exactly what it did before).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..mem.tlb import PTE_TABLE_BASE, PTES_PER_LINE
-from ..workloads.capture_store import (
-    CaptureError,
-    TraceCapture,
-    fingerprint_key,
-)
+from ..workloads.capture_store import TraceCapture, fingerprint_key
 from ..workloads.trace import Trace
 from .config import SystemConfig, line_to_page_shift
 
@@ -61,11 +54,11 @@ _PLAN_ENV = "REPRO_REPLAY_PLAN"
 _FALSEY = ("0", "false", "no", "off")
 
 #: Bump when the derivation of any plan array changes shape or
-#: semantics; persisted sidecars with another version are quarantined.
+#: semantics; part of every plan's geometry key.
 PLAN_VERSION = 1
 
-#: Arrays persisted to (and re-derived for) every plan, in a fixed
-#: order so sidecar directories have a stable layout.
+#: Arrays every plan holds (and the conservation invariant
+#: re-derives), in a fixed order.
 PLAN_ARRAY_NAMES: Tuple[str, ...] = (
     "l1_offs",      # L1 per-set slice offsets over the trace stream
     "l1_order",     # stable argsort of trace addrs by L1 set
@@ -105,13 +98,13 @@ def plan_geometry(config: SystemConfig) -> Dict:
 
 
 def plan_geometry_key(geometry: Dict) -> str:
-    """Canonical JSON key of a plan geometry (store/sidecar key)."""
+    """Canonical JSON key of a plan geometry (the store's plan key)."""
     return fingerprint_key(geometry)
 
 
 def derive_plan_arrays(capture: TraceCapture, trace: Trace,
                        geometry: Dict) -> Dict[str, np.ndarray]:
-    """Compute every persisted plan array from scratch.
+    """Compute every plan array from scratch.
 
     Shared by :func:`build_plan` and the ``replay-plan-conservation``
     invariant, which re-runs this very derivation and compares — so
@@ -132,7 +125,7 @@ def derive_plan_arrays(capture: TraceCapture, trace: Trace,
     n_events = int(addrs.shape[0])
     # Interleaved L3 scaffold: even slots carry the forwarded event,
     # odd slots the (per-policy) L2 victim writeback. Odd addresses are
-    # filled at replay time; -1 keeps the persisted bytes deterministic.
+    # filled at replay time; -1 keeps the plan's bytes deterministic.
     l3_addr2 = np.full(2 * n_events, -1, dtype=np.int64)
     l3_addr2[0::2] = addrs
     l3_meas2 = np.zeros(2 * n_events, dtype=bool)
@@ -159,10 +152,9 @@ def derive_plan_arrays(capture: TraceCapture, trace: Trace,
 class ReplayPlan:
     """Policy-invariant replay precompute for one (capture, geometry).
 
-    Holds the persisted numpy arrays (possibly memory-mapped from a
-    disk sidecar) plus lazily memoized list-shaped views in exactly the
-    forms the kernels consume. Plan objects are shared across cells and
-    worker-process lifetimes, so every view is built at most once and
+    Holds the derived numpy arrays plus lazily memoized list-shaped
+    views in exactly the forms the kernels consume. Plan objects are
+    shared across cells, so every view is built at most once and
     **must never be mutated by a consumer** — the SLIP position lists
     come pre-terminated with their ``n`` sentinel for that reason.
     """
@@ -183,55 +175,11 @@ class ReplayPlan:
         self._l1_grouped: Optional[Tuple] = None
         self._slip_lists: Optional[Tuple] = None
 
-    def nbytes(self) -> int:
-        """Approximate persisted footprint (store budget accounting)."""
-        return sum(getattr(self, name).nbytes
-                   for name in PLAN_ARRAY_NAMES)
-
-    def validate(self, capture: TraceCapture) -> None:
-        """Cheap structural checks against a capture's shape.
-
-        Raises :class:`CaptureError` on damage (the store treats that
-        as sidecar corruption: quarantine and rebuild). Byte-level
-        agreement is the conservation invariant's job.
-        """
-        n_events = int(capture.ops.shape[0])
-        n_miss = int(capture.l1_miss_pos.shape[0])
-        n_tlb = int(capture.tlb_miss_pos.shape[0])
-        expected = {
-            "l1_order": None,          # trace-length, unknown here
-            "l1_offs": None,
-            "l2_set_idx": n_events,
-            "l2_order": n_events,
-            "l2_offs": None,
-            "l3_addr2": 2 * n_events,
-            "l3_meas2": 2 * n_events,
-            "miss_addrs": n_miss,
-            "miss_pages": n_miss,
-            "tlb_pages": n_tlb,
-            "pte_addrs": n_tlb,
-        }
-        for name in PLAN_ARRAY_NAMES:
-            array = getattr(self, name)
-            if array.ndim != 1:
-                raise CaptureError(f"plan array {name} is not 1-d")
-            want = expected[name]
-            if want is not None and int(array.shape[0]) != want:
-                raise CaptureError(
-                    f"plan array {name} has {int(array.shape[0])} "
-                    f"entries, capture implies {want}")
-        if (int(self.l2_offs.shape[0]) != self.geometry["l2_sets"] + 1
-                or int(self.l2_offs[-1]) != n_events):
-            raise CaptureError("plan l2_offs disagrees with capture")
-        if (int(self.l1_offs.shape[0]) != self.geometry["l1_sets"] + 1
-                or int(self.l1_offs[-1]) != int(self.l1_order.shape[0])):
-            raise CaptureError("plan l1_offs disagrees with l1_order")
-
     # ------------------------------------------------------------------
     # Kernel-facing memoized views
     # ------------------------------------------------------------------
     def measured_mask(self) -> np.ndarray:
-        """Per-event measured flags (a view of the persisted scaffold)."""
+        """Per-event measured flags (a view of the L3 scaffold)."""
         return self.l3_meas2[0::2]
 
     def l2_grouped(self, capture: TraceCapture) -> Tuple:
@@ -321,66 +269,11 @@ def ensure_plan_verified(plan: ReplayPlan, capture: TraceCapture,
                          trace: Trace) -> ReplayPlan:
     """Run the conservation invariant once per plan object.
 
-    Every plan — fresh build or sidecar load — passes through here
-    before the first kernel consumes it; the check marks the object so
-    shared (memoized) plans pay it exactly once per process.
+    Every fresh build passes through here before the first kernel
+    consumes it; the check marks the object so shared (memoized) plans
+    pay it exactly once per process.
     """
     if not plan.verified:
         from ..analysis.invariants import check_replay_plan
         check_replay_plan(plan, capture, trace)
     return plan
-
-
-# ----------------------------------------------------------------------
-# Sidecar (de)serialization, called by DiskCaptureStore
-# ----------------------------------------------------------------------
-PLAN_META_NAME = "plan.json"
-
-
-def save_plan_dir(path: str, plan: ReplayPlan, geom_key: str) -> None:
-    """Write one plan as ``.npy`` arrays + metadata under ``path``.
-
-    The caller (the disk store) provides tmp-dir atomicity; this only
-    materializes the files.
-    """
-    import json
-
-    os.makedirs(path, exist_ok=True)
-    for name in PLAN_ARRAY_NAMES:
-        np.save(os.path.join(path, f"{name}.npy"),
-                np.asarray(getattr(plan, name)))
-    meta = {
-        "version": PLAN_VERSION,
-        "geom_key": geom_key,
-        "geometry": plan.geometry,
-    }
-    with open(os.path.join(path, PLAN_META_NAME), "w",
-              encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
-
-
-def load_plan_dir(path: str, geom_key: str) -> ReplayPlan:
-    """Memory-map one plan sidecar back into a (unverified) plan.
-
-    Raises :class:`~repro.workloads.capture_store.ForeignEntryError`
-    when the sidecar belongs to another geometry (a digest collision:
-    a miss, not corruption) and :class:`CaptureError` /
-    ``OSError``-family errors on structural damage (the store
-    quarantines the sidecar and the caller rebuilds).
-    """
-    import json
-
-    from ..workloads.capture_store import ForeignEntryError
-
-    with open(os.path.join(path, PLAN_META_NAME),
-              encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("version") != PLAN_VERSION:
-        raise CaptureError(f"plan version {meta.get('version')!r}")
-    if meta.get("geom_key") != geom_key:
-        raise ForeignEntryError("plan sidecar geometry mismatch")
-    arrays: Dict[str, np.ndarray] = {}
-    for name in PLAN_ARRAY_NAMES:
-        arrays[name] = np.load(os.path.join(path, f"{name}.npy"),
-                               mmap_mode="r")
-    return ReplayPlan(meta["geometry"], arrays)

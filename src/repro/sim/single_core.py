@@ -8,7 +8,7 @@ from ..core.energy_model import LevelEnergyParams
 from ..workloads.benchmarks import make_trace
 from ..workloads.trace import Trace
 from .build import build_hierarchy, maybe_boost_sampler
-from .config import SystemConfig, default_system
+from .config import SystemConfig, check_warmup_fraction, default_system
 from .results import RunResult, collect_result
 from .timing import execution_time
 
@@ -28,7 +28,8 @@ def run_trace(
 
     The first ``warmup_fraction`` of the trace warms caches, TLB and
     SLIP page metadata with statistics discarded afterwards — the
-    analog of the paper's SimPoint warmup before measurement.
+    analog of the paper's SimPoint warmup before measurement. A
+    fraction outside ``[0, 1]`` raises ``ValueError``.
 
     Eligible runs go through the composed kernel pipeline (batched
     front-end capture -> batched replay, byte-identical by the kernel
@@ -36,6 +37,7 @@ def run_trace(
     scalar per-access walk below stays the golden reference and serves
     every shape the pipeline declines.
     """
+    check_warmup_fraction(warmup_fraction)
     config = config or default_system()
     hierarchy = build_hierarchy(
         config, policy, seed=seed, replacement=replacement,

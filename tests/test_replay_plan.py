@@ -5,8 +5,9 @@ Three contracts:
 * plans are invisible in results — ``REPRO_REPLAY_PLAN`` on/off (and
   memory vs. disk store, and jobs=1 vs. jobs=2) must all produce
   byte-identical ``RunResult.to_json()`` for every policy;
-* plan sidecars recover — a corrupt/truncated array quarantines only
-  the plan directory, and the rebuilt plan replays byte-identically;
+* plans live in process only — the disk store writes no plan
+  directory, and pooled workers that each build their own plans agree
+  byte-for-byte with a serial run;
 * the composed direct pipeline (``run_trace`` -> ``try_run_direct``)
   equals the scalar walk, and every documented decline falls back.
 """
@@ -83,20 +84,6 @@ class TestPlanByteIdentity:
 
         assert run_pair("1") == run_pair("0")
 
-    def test_plan_persisted_once_per_geometry(self, tmp_path,
-                                              tiny_system):
-        trace = make_trace("lbm", LENGTH)
-        store = DiskCaptureStore(str(tmp_path))
-        for policy in ALL_POLICIES:
-            run_trace_filtered(trace, policy, config=tiny_system,
-                               store=store)
-        # One capture entry, one plan sidecar shared by all policies.
-        assert len(plan_dirs(tmp_path)) == 1
-        names = sorted(os.path.splitext(f)[0]
-                       for f in os.listdir(plan_dirs(tmp_path)[0])
-                       if f.endswith(".npy"))
-        assert names == sorted(PLAN_ARRAY_NAMES)
-
     @pytest.mark.multiproc
     def test_plan_jobs_parity(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
@@ -115,56 +102,35 @@ class TestPlanByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# Sidecar corruption recovery
+# In-process plans with a disk store
 # ----------------------------------------------------------------------
-class TestSidecarRecovery:
-    def _corrupt_and_rerun(self, tmp_path, tiny_system, mangle):
+class TestDiskStorePlans:
+    def test_disk_store_writes_no_plan_dirs(self, tmp_path, tiny_system):
         trace = make_trace("lbm", LENGTH)
         store = DiskCaptureStore(str(tmp_path))
-        run_trace_filtered(trace, "slip", config=tiny_system,
-                           store=store)
-        reference = canonical(run_trace_filtered(
-            trace, "slip", config=tiny_system, store=store))
-        (plan_dir,) = plan_dirs(tmp_path)
-        mangle(plan_dir)
-        # A fresh store handle drops the in-memory plan memo, so the
-        # next replay must go through the damaged sidecar.
-        fresh = DiskCaptureStore(str(tmp_path))
-        rebuilt = canonical(run_trace_filtered(
-            trace, "slip", config=tiny_system, store=fresh))
-        assert rebuilt == reference
-        # The quarantined sidecar was re-persisted, complete.
-        (plan_dir,) = plan_dirs(tmp_path)
-        names = sorted(os.path.splitext(f)[0]
-                       for f in os.listdir(plan_dir)
-                       if f.endswith(".npy"))
-        assert names == sorted(PLAN_ARRAY_NAMES)
+        for policy in ALL_POLICIES:
+            run_trace_filtered(trace, policy, config=tiny_system,
+                               store=store)
+        # The capture entry is on disk; its plan stayed in memory.
+        assert os.listdir(tmp_path)
+        assert plan_dirs(tmp_path) == []
 
-    def test_truncated_array_quarantined(self, tmp_path, tiny_system):
-        def mangle(plan_dir):
-            victim = os.path.join(plan_dir, "miss_addrs.npy")
-            with open(victim, "r+b") as handle:
-                handle.truncate(16)
-
-        self._corrupt_and_rerun(tmp_path, tiny_system, mangle)
-
-    def test_missing_array_quarantined(self, tmp_path, tiny_system):
-        def mangle(plan_dir):
-            os.unlink(os.path.join(plan_dir, "l3_addr2.npy"))
-
-        self._corrupt_and_rerun(tmp_path, tiny_system, mangle)
-
-    def test_corrupt_values_fail_conservation(self, tmp_path,
-                                              tiny_system):
-        # Structurally valid but wrong values: caught by the always-on
-        # replay-plan-conservation re-derivation, then quarantined.
-        def mangle(plan_dir):
-            victim = os.path.join(plan_dir, "l1_order.npy")
-            data = np.load(victim)
-            data[: data.shape[0] // 2] = data[: data.shape[0] // 2][::-1]
-            np.save(victim, data)
-
-        self._corrupt_and_rerun(tmp_path, tiny_system, mangle)
+    @pytest.mark.multiproc
+    def test_pooled_workers_match_serial_bytes(self, tmp_path,
+                                               monkeypatch):
+        # One disk store of captures; each pool worker builds and
+        # verifies its own plans.
+        monkeypatch.setenv("REPRO_CAPTURE_DIR", str(tmp_path))
+        grid = [
+            RunRequest("mcf", policy, length=2_000)
+            for policy in ALL_POLICIES
+        ]
+        serial = run_jobs(grid, jobs=1)
+        pooled = run_jobs(grid, jobs=2)
+        assert plan_dirs(tmp_path) == []
+        for ours, theirs in zip(serial.results, pooled.results):
+            assert (canonical(ours.result) == canonical(theirs.result)
+                    ), ours.request.label()
 
 
 # ----------------------------------------------------------------------

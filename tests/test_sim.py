@@ -158,3 +158,63 @@ class TestResultMethods:
         assert base.energy_savings_over(base, "L2") == 0.0
         assert base.speedup_over(base) == 0.0
         assert base.relative_dram_traffic(base) == 1.0
+
+
+class TestWarmupFractionBoundary:
+    """Every entry point rejects a warmup fraction outside [0, 1] with
+    the same ``ValueError``, whichever path (kernel or scalar walk)
+    would have run the cell."""
+
+    BAD = (-0.5, 1.5, float("nan"), "0.25")
+
+    @staticmethod
+    def _entry_points():
+        from repro.experiments.parallel import MixRequest, RunRequest
+        from repro.sim.filtered import run_trace_filtered
+        from repro.sim.multi_core import run_mix, run_mix_traces
+        from repro.workloads.capture_store import MemoryCaptureStore
+        from repro.workloads.mixes import make_mix_traces
+
+        trace = make_trace("soplex", 2_000)
+        mix = ("mcf", "lbm")
+        traces = make_mix_traces(mix, 1_000, 0)
+        return {
+            "run_trace": lambda w: run_trace(trace, "slip",
+                                             warmup_fraction=w),
+            "run_trace_filtered": lambda w: run_trace_filtered(
+                trace, "slip", warmup_fraction=w,
+                store=MemoryCaptureStore()),
+            "run_mix": lambda w: run_mix(mix, "slip", 1_000,
+                                         warmup_fraction=w),
+            "run_mix_traces": lambda w: run_mix_traces(
+                traces, mix, "slip", make_default_system(),
+                warmup_fraction=w),
+            "RunRequest": lambda w: RunRequest("soplex", "slip", 2_000,
+                                               warmup_fraction=w),
+            "MixRequest": lambda w: MixRequest(mix, "slip", 1_000,
+                                               warmup_fraction=w),
+        }
+
+    @pytest.mark.parametrize("scalar", (False, True),
+                             ids=("kernel", "scalar"))
+    def test_every_path_raises_the_same_error(self, scalar, monkeypatch):
+        if scalar:
+            monkeypatch.setenv("REPRO_FILTERED", "0")
+        for name, call in self._entry_points().items():
+            for bad in self.BAD:
+                with pytest.raises(ValueError,
+                                   match=r"warmup_fraction must be in"):
+                    call(bad)
+
+    @pytest.mark.parametrize("fraction", (0.0, 1.0))
+    def test_closed_interval_ends_accepted(self, fraction):
+        result = run_trace(make_trace("soplex", 2_000), "slip",
+                           warmup_fraction=fraction)
+        assert (result.counters.demand_accesses
+                == 2_000 - int(2_000 * fraction))
+
+
+def make_default_system():
+    from repro.sim.config import default_system
+
+    return default_system()

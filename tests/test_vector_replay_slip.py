@@ -9,13 +9,17 @@ ablation. Everything it cannot represent must decline with a recorded
 reason and fall back to the scalar path with identical bytes.
 """
 
+import gc
 import json
 import os
 import random
 
 import pytest
 
+from repro.analysis.invariants import InvariantViolation
 from repro.experiments.parallel import RunRequest, run_jobs
+from repro.mem.cache import UNTOUCHED_INDEX
+from repro.sim import vector_replay_slip
 from repro.sim.build import build_hierarchy
 from repro.sim.config import (
     CacheLevelConfig,
@@ -23,14 +27,18 @@ from repro.sim.config import (
     DramConfig,
     SlipParams,
     SystemConfig,
+    default_system,
 )
 from repro.sim.filtered import (
     front_end_fingerprint,
+    replay_capture,
     run_trace_filtered,
 )
-from repro.sim.single_core import run_trace
+from repro.sim.single_core import _run_trace_scalar, run_trace
+from repro.sim.vector_frontend import capture_front_end_vector
 from repro.sim.vector_replay_slip import (
     replay_capture_vector_slip,
+    replay_slip_cores,
     slip_eligible,
 )
 from repro.workloads.benchmarks import make_trace
@@ -315,3 +323,105 @@ def test_adopt_counts_requires_one_insertion_source(tiny_system):
                            insertions_by_class={"default": 1}, **kwargs)
     with pytest.raises(ValueError, match="exactly one"):
         stats.adopt_counts(**kwargs)
+
+
+# ----------------------------------------------------------------------
+# Thin back end and the collector pause
+# ----------------------------------------------------------------------
+def _default_cell(policy):
+    """(trace, config, capture) of one cell on the Table 1 system."""
+    config = default_system()
+    trace = make_trace("soplex", LENGTH)
+    capture = capture_front_end_vector(build_hierarchy(config, policy),
+                                       trace, config, 0.25)
+    assert capture is not None
+    return trace, config, capture
+
+
+def _owned_sets(level) -> int:
+    """Sets that have their own row (and probe index)."""
+    return sum(1 for row in level.sets if row is not level._untouched_row)
+
+
+class TestThinBackEnd:
+    @pytest.mark.parametrize("policy", ("baseline", "slip"))
+    def test_kernel_replay_allocates_no_per_set_containers(self, policy):
+        trace, config, capture = _default_cell(policy)
+        hierarchy = build_hierarchy(config, policy)
+        kernel = replay_capture(trace, policy, capture, config,
+                                hierarchy=hierarchy)
+        for level in (hierarchy.l2, hierarchy.l3):
+            assert _owned_sets(level) == 0
+            assert all(index is UNTOUCHED_INDEX for index in level._index)
+        # The scalar walk of the same cell gives sets their own row and
+        # index on first fill, and the same bytes.
+        walked = build_hierarchy(config, policy)
+        scalar = _run_trace_scalar(walked, trace, policy, config, 0.25,
+                                   True)
+        for level in (walked.l2, walked.l3):
+            assert _owned_sets(level) > 0
+            assert sum(len(index) for index in level._index) \
+                == level.valid_count
+        assert canonical(scalar) == canonical(kernel)
+
+    def test_untouched_level_holds_no_lines(self, tiny_system):
+        level = build_hierarchy(tiny_system, "slip").l3
+        assert level.resident_lines() == []
+        assert _owned_sets(level) == 0
+
+
+class TestCollectorPause:
+    @staticmethod
+    def _one_core(policy="slip"):
+        trace, config, capture = _default_cell(policy)
+        hierarchy = build_hierarchy(config, policy)
+        return [(hierarchy, trace, capture, None)], hierarchy
+
+    @pytest.fixture
+    def gc_state(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_paused_inside_and_caller_state_restored(self, enabled,
+                                                      gc_state,
+                                                      monkeypatch):
+        seen = []
+        check = vector_replay_slip.check_slip_vector_replay
+
+        def observed(**kwargs):
+            seen.append(gc.isenabled())
+            check(**kwargs)
+
+        monkeypatch.setattr(vector_replay_slip, "check_slip_vector_replay",
+                            observed)
+        cores, hierarchy = self._one_core()
+        (gc.enable if enabled else gc.disable)()
+        replay_slip_cores(cores, hierarchy.l3, hierarchy.l3_placement)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_restored_when_the_invariant_raises(self, enabled, gc_state,
+                                                monkeypatch):
+        def broken(**_):
+            raise InvariantViolation("slip-vector-replay-conservation",
+                                     "forced")
+
+        monkeypatch.setattr(vector_replay_slip, "check_slip_vector_replay",
+                            broken)
+        cores, hierarchy = self._one_core()
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(InvariantViolation):
+            replay_slip_cores(cores, hierarchy.l3, hierarchy.l3_placement)
+        assert gc.isenabled() is enabled
+
+    def test_slip_cell_leaves_no_cyclic_garbage(self, gc_state):
+        trace, config, capture = _default_cell("slip")
+        gc.collect()
+        replay_capture(trace, "slip", capture, config)
+        assert gc.collect() == 0
